@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="existence/universality verdicts")
     analyze.add_argument("file", help="interconnection document")
     analyze.add_argument("--budget", type=int, default=14)
-    analyze.add_argument("--jobs", type=int, default=1)
+    analyze.add_argument("--jobs", type=int, default=1, help="no effect; kept for compatibility")
     analyze.add_argument("--witness", help="write the witness document here")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="fixture gallery verdict table")
     bench.add_argument("--budget", type=int, default=14)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=int, default=1, help="no effect; kept for compatibility")
     bench.add_argument("--csv", help="also write the table here")
     bench.set_defaults(func=cmd_bench)
 

@@ -8,19 +8,22 @@ Two questions about an interconnection:
 
 The second is decided exactly: a non-universal interconnection is certified
 by a rational sign witness x with sign(G_r^T G_r x) = sign(x) entrywise and
-G_d^T G_r x = 0, found by enumerating sign patterns and solving each
-candidate's linear system in exact arithmetic.  ``witness_to_laplacians``
-turns the certificate into a concrete weight pair whose margin is pinned at
-zero no matter which dissipative weights are chosen.
+G_d^T G_r x = 0.  With v = G_r x the second condition makes v constant on
+each damper class, so sign(x) = sign(G_r^T v) is a covector of the spring
+graph with the damper classes contracted.  ``is_sss`` walks these covectors
+depth-first in lexicographic order, pruning any prefix whose order on the
+classes is inconsistent, and solves each covector's linear system in exact
+arithmetic.  ``witness_to_laplacians`` turns the certificate into a
+concrete weight pair whose margin is pinned at zero no matter which
+dissipative weights are chosen.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,6 +107,11 @@ class SSSVerdict:
     For inputs that pass ``is_ss``, ``is_sss`` is false exactly when
     ``witness`` is present.  Non-SS inputs get is_sss False with reason
     "not-ss" and no witness.
+
+    ``refuted_patterns`` is the lexicographic rank of the witness's sign
+    pattern among the admissible patterns (first nonzero entry +1) of
+    3**p_r, or (3**p_r - 1) // 2, their number, when there is no witness.
+    It counts the patterns ruled out, not the simplex calls made.
     """
 
     is_sss: bool
@@ -135,17 +143,77 @@ def _sign_matrices(ric: Interconnection) -> tuple[list[list[int]], list[list[int
     return a, c
 
 
-def _decode_pattern(t: int, p: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(p):
-        t, r = divmod(t, 3)
-        digits.append(r - 1)
-    return tuple(reversed(digits))
+def _relate(
+    group: tuple[int, ...], above: tuple[int, ...], a: int, b: int, s: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Add sign(v_a - v_b) = s to a consistent order on damper classes.
+
+    ``group[i]`` is the bitmask of classes merged with class i by 0-edges,
+    ``above[i]`` the bitmask of classes strictly above i: the strict arcs
+    closed under transitivity and merging.  Returns the new pair, or None
+    when the sign would put a strict arc inside one class or close a
+    directed cycle.
+    """
+    if s == 0:
+        if above[a] >> b & 1 or above[b] >> a & 1:
+            return None
+        merged = group[a] | group[b]
+        top = above[a] | above[b]
+        return (
+            tuple(merged if merged >> i & 1 else g for i, g in enumerate(group)),
+            tuple(
+                top if merged >> i & 1 else (u | merged | top if u & merged else u)
+                for i, u in enumerate(above)
+            ),
+        )
+    hi, lo = (a, b) if s > 0 else (b, a)
+    if group[lo] >> hi & 1 or above[hi] >> lo & 1:
+        return None
+    lift = group[hi] | above[hi]
+    return group, tuple(
+        u | lift if group[lo] >> i & 1 or u >> lo & 1 else u for i, u in enumerate(above)
+    )
 
 
-def _admissible(sig: tuple[int, ...]) -> bool:
-    first = next((v for v in sig if v != 0), 0)
-    return first == 1
+def _covectors(ric: Interconnection) -> Iterator[tuple[int, ...]]:
+    """Admissible covectors of the spring graph with damper classes
+    contracted, in lexicographic order (-1 < 0 < +1, first nonzero +1).
+
+    These are the sign vectors sign(v_k - v_l) over the restorative edges
+    (k, l), for v constant on each damper class.  Depth-first over the
+    edges in stored order; a prefix that is consistent always extends to a
+    covector (take any v realizing it), so no branch is a dead end.
+    """
+    dc = components(ric.q, ric.dissipative_edges)
+    ends = [
+        (dc.assignment[k - 1] - 1, dc.assignment[l - 1] - 1)
+        for k, l in ric.restorative_edges
+    ]
+    p = len(ends)
+    sig = [0] * p
+
+    def walk(i, group, above, started):
+        if i == p:
+            if started:
+                yield tuple(sig)
+            return
+        a, b = ends[i]
+        for s in (-1, 0, 1) if started else (0, 1):
+            order = _relate(group, above, a, b, s)
+            if order is not None:
+                sig[i] = s
+                yield from walk(i + 1, *order, started or s != 0)
+
+    yield from walk(0, tuple(1 << i for i in range(dc.count)), (0,) * dc.count, False)
+
+
+def _admissible_rank(sig: Sequence[int]) -> int:
+    """Number of admissible patterns lexicographically before ``sig``."""
+    p = len(sig)
+    z = next(i for i, s in enumerate(sig) if s)
+    return (3 ** (p - z - 1) - 1) // 2 + sum(
+        (sig[i] + 1) * 3 ** (p - 1 - i) for i in range(z + 1, p)
+    )
 
 
 class _PatternScanner:
@@ -214,7 +282,11 @@ class _PatternScanner:
                 continue
             rows.append([s * v for v in xrows[i]])
             rows.append([s * v for v in arows[i]])
-        y = exactlin.strictly_feasible(rows)
+        if len(basis) == 1:
+            # One direction: M y >= 1 holds for some y iff M has one strict sign.
+            y = next(([d] for d in (1, -1) if all(d * r[0] > 0 for r in rows)), None)
+        else:
+            y = exactlin.strictly_feasible(rows)
         if y is None:
             return None
         x = [Fraction(0)] * self.p
@@ -225,40 +297,21 @@ class _PatternScanner:
         return x
 
 
-def _scan_chunk(args) -> tuple[int, tuple | None]:
-    """Scan raw pattern indices [start, stop); return (refuted-count, hit).
-
-    hit is (raw-index, witness entries as strings) for the first feasible
-    admissible pattern in the range, or None.  Fractions travel as strings
-    to keep the payload picklable and exact.
-    """
-    q, d_edges, r_edges, start, stop = args
-    ric = Interconnection(q, d_edges, r_edges)
-    a, c = _sign_matrices(ric)
-    scanner = _PatternScanner(a, c, ric.p_r)
-    refuted = 0
-    for t in range(start, stop):
-        sig = _decode_pattern(t, ric.p_r)
-        if not _admissible(sig):
-            continue
-        x = scanner.witness_for(sig)
-        if x is not None:
-            return refuted, (t, tuple(str(v) for v in x))
-        refuted += 1
-    return refuted, None
-
-
 def is_sss(ic: Interconnection, budget: int = 14, jobs: int = 1) -> SSSVerdict:
     """Decide whether every positive weight assignment synchronizes.
 
-    Reduces the interconnection, then enumerates candidate sign patterns in
-    lexicographic order (-1 < 0 < +1, first nonzero positive) and decides
-    each exactly over the rationals.  Returns the witness of the first
-    feasible pattern, or is_sss=True once every pattern is refuted.
+    Reduces the interconnection, then walks the admissible covectors of the
+    spring graph with damper classes contracted, in lexicographic order
+    (-1 < 0 < +1, first nonzero positive), and decides each exactly over
+    the rationals.  Every feasible sign pattern is such a covector, since
+    v = G_r x is constant on damper classes and sign(x) = sign(G_r^T v);
+    so the first feasible covector is the lexicographically first feasible
+    pattern.  Returns its witness, or is_sss=True once the covectors run
+    out.
 
     Raises BudgetExceededError when the reduced restorative edge count
-    exceeds ``budget``.  ``jobs`` > 1 splits the pattern range across
-    processes; the verdict and witness are independent of ``jobs``.
+    exceeds ``budget``.  ``jobs`` is accepted for compatibility and has no
+    effect.
     """
     ric = graphs.reduce(ic)
     ssv = is_ss(ric)
@@ -272,43 +325,26 @@ def is_sss(ic: Interconnection, budget: int = 14, jobs: int = 1) -> SSSVerdict:
     if p > budget:
         raise BudgetExceededError(p, budget)
 
-    total = 3**p
-    hit = None
-    refuted = 0
-    if jobs <= 1:
-        refuted, hit = _scan_chunk(
-            (ric.q, ric.dissipative_edges, ric.restorative_edges, 0, total)
-        )
-    else:
-        chunk = max(1, -(-total // (4 * jobs)))
-        ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _scan_chunk,
-                    (ric.q, ric.dissipative_edges, ric.restorative_edges, s, e),
-                )
-                for s, e in ranges
-            ]
-            for fut in futures:
-                n, h = fut.result()
-                refuted += n
-                if h is not None:
-                    hit = h
-                    for rest in futures:
-                        rest.cancel()
-                    break
-
-    if hit is None:
+    a, c = _sign_matrices(ric)
+    scanner = _PatternScanner(a, c, p)
+    for sig in _covectors(ric):
+        x = scanner.witness_for(sig)
+        if x is None:
+            continue
+        witness = SignWitness.from_rationals(x)
+        if not verify_witness(ric, witness.x):
+            raise RuntimeError("internal: enumerated witness failed exact verification")
         return SSSVerdict(
-            is_sss=True, witness=None, refuted_patterns=refuted, reason="patterns-exhausted"
+            is_sss=False,
+            witness=witness,
+            refuted_patterns=_admissible_rank(sig),
+            reason="witness-found",
         )
-    _, entries = hit
-    witness = SignWitness.from_rationals([Fraction(v) for v in entries])
-    if not verify_witness(ric, witness.x):
-        raise RuntimeError("internal: enumerated witness failed exact verification")
     return SSSVerdict(
-        is_sss=False, witness=witness, refuted_patterns=refuted, reason="witness-found"
+        is_sss=True,
+        witness=None,
+        refuted_patterns=(3**p - 1) // 2,
+        reason="patterns-exhausted",
     )
 
 

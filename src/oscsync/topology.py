@@ -209,7 +209,8 @@ def find_distribution(
     the witness entries, potentials their image under the restorative
     incidence matrix.  Returns None exactly when the interconnection is
     universally synchronizing.  Raises ValueError for non-SS input and
-    BudgetExceededError like the universality test.
+    BudgetExceededError like the universality test.  ``jobs`` is accepted
+    for compatibility and has no effect.
     """
     ric = graphs.reduce(ic)
     ssv = structural.is_ss(ric)

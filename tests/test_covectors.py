@@ -1,0 +1,205 @@
+"""The covector walk behind ``is_sss`` against the plain 3**p scanner.
+
+The reference below feeds every admissible sign pattern (first nonzero
+entry +1) to ``_PatternScanner`` in lexicographic order, the way
+``is_sss`` worked before it walked covectors.  Both must agree on the
+verdict, the reason, the witness and ``refuted_patterns``.  Every pattern
+the simplex finds feasible must be a covector of the spring graph with the
+damper classes contracted, and the scanner, which skips the simplex on
+one-direction supports, must agree with the simplex on every pattern.
+"""
+
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oscsync import exactlin, fixtures, graphs, structural
+from oscsync.graphs import Interconnection
+from oscsync.structural import BudgetExceededError, SignWitness, is_sss
+
+
+@st.composite
+def ss_interconnections(draw, q_max=7, p_r_max=8):
+    """Connected union graph with at least one damper and p_r <= p_r_max:
+    a random spanning tree plus extra edges, then a random damper count."""
+    q = draw(st.integers(min_value=4, max_value=q_max))
+    order = draw(st.permutations(range(1, q + 1)))
+    edges = []
+    for i in range(1, q):
+        parent = order[draw(st.integers(min_value=0, max_value=i - 1))]
+        edges.append(tuple(sorted((order[i], parent))))
+    pool = [e for e in combinations(range(1, q + 1), 2) if e not in edges]
+    edges += draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    p_d = draw(st.integers(min_value=max(1, len(edges) - p_r_max), max_value=len(edges)))
+    edges = draw(st.permutations(edges))
+    return Interconnection(q, tuple(sorted(edges[:p_d])), tuple(sorted(edges[p_d:])))
+
+
+def admissible_patterns(p):
+    for sig in product((-1, 0, 1), repeat=p):
+        if next((s for s in sig if s), 0) == 1:
+            yield sig
+
+
+def scanner_for(ric):
+    a, c = structural._sign_matrices(ric)
+    return structural._PatternScanner(a, c, ric.p_r)
+
+
+def simplex_feasible(scanner, sig):
+    """The pattern's strict system, always decided by the simplex."""
+    data = scanner._support_data(tuple(v != 0 for v in sig))
+    if data is None:
+        return False
+    _, xrows, arows = data
+    rows = []
+    for i, s in enumerate(sig):
+        if s:
+            rows += [[s * v for v in xrows[i]], [s * v for v in arows[i]]]
+    return exactlin.strictly_feasible(rows) is not None
+
+
+def reference_is_sss(ic):
+    """(is_sss, reason, witness entries, refuted_patterns) by full scan."""
+    ric = graphs.reduce(ic)
+    if not structural.is_ss(ric).is_ss:
+        return False, "not-ss", None, 0
+    if ric.p_r == 0:
+        return True, "no-restorative-edges", None, 0
+    scanner = scanner_for(ric)
+    refuted = 0
+    for sig in admissible_patterns(ric.p_r):
+        x = scanner.witness_for(sig)
+        if x is not None:
+            return False, "witness-found", SignWitness.from_rationals(x).x, refuted
+        refuted += 1
+    return True, "patterns-exhausted", None, refuted
+
+
+def summary(verdict):
+    x = None if verdict.witness is None else verdict.witness.x
+    return verdict.is_sss, verdict.reason, x, verdict.refuted_patterns
+
+
+def brute_covectors(ric):
+    """Admissible sign vectors sign(v_k - v_l) for v constant on damper
+    classes, from every map of the classes into {0, ..., n-1}."""
+    dc = graphs.components(ric.q, ric.dissipative_edges)
+    n = dc.count
+    out = set()
+    for heights in product(range(n), repeat=n):
+        v = [heights[c - 1] for c in dc.assignment]
+        sig = tuple(
+            (v[k - 1] > v[l - 1]) - (v[k - 1] < v[l - 1]) for k, l in ric.restorative_edges
+        )
+        if next((s for s in sig if s), 0) == 1:
+            out.add(sig)
+    return out
+
+
+def k4_labellings():
+    edges = list(combinations(range(1, 5), 2))
+    for kinds in product("dr", repeat=len(edges)):
+        d = tuple(e for e, k in zip(edges, kinds) if k == "d")
+        r = tuple(e for e, k in zip(edges, kinds) if k == "r")
+        yield Interconnection(4, d, r)
+
+
+def count_calls(monkeypatch):
+    calls = {"null_space": 0, "strictly_feasible": 0}
+    for name in calls:
+        original = getattr(exactlin, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(exactlin, name, counted)
+    return calls
+
+
+class TestAgainstFullScan:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(ss_interconnections())
+    def test_walk_matches_full_scan(self, ic):
+        assert summary(is_sss(ic)) == reference_is_sss(ic)
+
+    def test_every_k4_labelling(self):
+        for ic in k4_labellings():
+            assert summary(is_sss(ic)) == reference_is_sss(ic), ic
+
+    def test_gallery_and_alternating_cycles(self):
+        cases = [f.ic for f in fixtures.gallery()]
+        cases += [fixtures.alternating_cycle(q) for q in range(4, 14, 2)]
+        for ic in cases:
+            assert summary(is_sss(ic)) == reference_is_sss(ic), ic
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(ss_interconnections())
+    def test_walk_yields_exactly_the_covectors_in_order(self, ic):
+        ric = graphs.reduce(ic)
+        walked = list(structural._covectors(ric))
+        assert walked == sorted(brute_covectors(ric))
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(ss_interconnections(p_r_max=6))
+    def test_feasible_patterns_are_covectors(self, ic):
+        ric = graphs.reduce(ic)
+        if ric.p_r == 0:
+            return
+        covectors = set(structural._covectors(ric))
+        scanner = scanner_for(ric)
+        for sig in admissible_patterns(ric.p_r):
+            feasible = simplex_feasible(scanner, sig)
+            assert (scanner.witness_for(sig) is not None) == feasible
+            if feasible:
+                assert sig in covectors
+
+    def test_rank_closed_form(self):
+        for p in range(1, 6):
+            for rank, sig in enumerate(admissible_patterns(p)):
+                assert structural._admissible_rank(sig) == rank
+
+
+class TestWorkDone:
+    def test_connected_dampers_need_no_linear_algebra(self, monkeypatch):
+        ic = Interconnection(4, ((1, 2), (2, 3), (3, 4)), ((1, 3), (2, 4), (1, 4)))
+        calls = count_calls(monkeypatch)
+        verdict = is_sss(ic)
+        assert verdict.is_sss and verdict.reason == "patterns-exhausted"
+        assert verdict.refuted_patterns == (3**ic.p_r - 1) // 2
+        assert calls == {"null_space": 0, "strictly_feasible": 0}
+
+    def test_braced_chain_two_simplex_calls(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        verdict = is_sss(fixtures.braced_chain())
+        assert verdict.witness.x == (1, -3, -2)
+        assert verdict.refuted_patterns == 4
+        assert calls["strictly_feasible"] <= 2
+
+
+class TestEdgeCases:
+    def test_spring_inside_a_damper_class_is_always_zero(self):
+        # Spring (1, 3) joins two vertices of the damper class {1, 2, 3}.
+        ric = Interconnection(5, ((1, 2), (2, 3), (4, 5)), ((1, 3), (3, 4), (1, 5)))
+        walked = list(structural._covectors(ric))
+        assert walked
+        assert all(sig[0] == 0 for sig in walked)
+
+    def test_springs_inside_one_class_universal_without_simplex(self, monkeypatch):
+        # A damper star; the springs form a triangle on its leaves.
+        ic = Interconnection(4, ((1, 2), (1, 3), (1, 4)), ((2, 3), (3, 4), (2, 4)))
+        calls = count_calls(monkeypatch)
+        verdict = is_sss(ic)
+        assert verdict.is_sss and verdict.refuted_patterns == 13
+        assert calls["strictly_feasible"] == 0
+
+    def test_budget_guard_raises_before_walking(self, monkeypatch):
+        def walk(_ric):
+            raise AssertionError("walked past the budget")
+
+        monkeypatch.setattr(structural, "_covectors", walk)
+        r_edges = tuple((k, k + 1) for k in range(1, 17))
+        with pytest.raises(BudgetExceededError, match="undecided-budget: 15"):
+            is_sss(Interconnection(17, ((1, 2),), r_edges), budget=14)
