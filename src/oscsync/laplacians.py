@@ -23,8 +23,9 @@ TAU_LAP = 1e-9
 
 
 def tau_eig(scale: float) -> float:
-    """Relative spectral tolerance: 1e-9 times the matrix scale."""
-    return 1e-9 * float(scale)
+    """Relative spectral tolerance: 1e-9 times the matrix scale (elementwise
+    on an array of scales)."""
+    return 1e-9 * scale
 
 
 def _is_exact(w) -> bool:

@@ -30,6 +30,20 @@ def _pair(d, r) -> tuple[np.ndarray, np.ndarray]:
     return dm, rm
 
 
+def _band(scale):
+    return 10.0 * tau_eig(scale)
+
+
+def is_positive(margin, scale):
+    """The margin clears the borderline band 10 * tau_eig(scale).
+
+    The one definition of a 'positive' margin, shared by
+    ``SpectralReport.classification`` and the rescale grid of weight
+    synthesis; elementwise on arrays of margins and scales.
+    """
+    return margin > _band(scale)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Sorted spectrum of D + jR with the synchronization margin.
@@ -43,16 +57,11 @@ class SpectralReport:
     margin: float
     scale: float
 
-    @property
-    def lambda2_real(self) -> float:
-        return self.margin
-
     def classification(self) -> str:
         """'positive', 'borderline', or 'negative' (solver-failure signal)."""
-        band = 10.0 * tau_eig(self.scale)
-        if self.margin > band:
+        if is_positive(self.margin, self.scale):
             return "positive"
-        if self.margin < -band:
+        if self.margin < -_band(self.scale):
             return "negative"
         return "borderline"
 

@@ -37,7 +37,7 @@ from .laplacians import (
     rescale,
     sample_laplacian,
 )
-from .spectral import spectrum
+from .spectral import is_positive, spectrum
 
 _PHI = (1 + math.sqrt(5)) / 2
 
@@ -533,8 +533,10 @@ def _split_across(q: int, edges: Sequence[Edge], a: int, b: int) -> set[int]:
     return side
 
 
-def _canonical_rate(dm: np.ndarray, rm: np.ndarray) -> float:
-    """Slowest non-synchronous decay rate of the unit oscillator array.
+def _canonical_rates(dm: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """Slowest non-synchronous decay rate of the unit oscillator array, for
+    each pair of a stack (``dm`` and ``rm`` broadcast against each other,
+    the last two axes being the q x q matrices).
 
     Assembles the closed-loop state matrix for unit-mass unit-stiffness
     scalar oscillators and returns minus the largest real part outside the
@@ -543,13 +545,13 @@ def _canonical_rate(dm: np.ndarray, rm: np.ndarray) -> float:
     overdamping (a heavily damped edge locks its endpoints together and the
     pair creeps instead of settling).
     """
-    qn = dm.shape[0]
-    a = np.zeros((2 * qn, 2 * qn))
-    a[:qn, qn:] = np.eye(qn)
-    a[qn:, :qn] = -(np.eye(qn) + rm)
-    a[qn:, qn:] = -dm
-    re = np.sort(np.linalg.eigvals(a).real)
-    return -float(re[-3])
+    *stack, qn, _ = np.broadcast_shapes(dm.shape, rm.shape)
+    a = np.zeros((*stack, 2 * qn, 2 * qn))
+    a[..., :qn, qn:] = np.eye(qn)
+    a[..., qn:, :qn] = -(np.eye(qn) + rm)
+    a[..., qn:, qn:] = -dm
+    re = np.sort(np.linalg.eigvals(a).real, axis=-1)
+    return -re[..., -3]
 
 
 def _best_scaling(dm: np.ndarray, rm: np.ndarray) -> tuple[float, float, float]:
@@ -561,34 +563,51 @@ def _best_scaling(dm: np.ndarray, rm: np.ndarray) -> tuple[float, float, float]:
     small restorative scale lets the damping mix neighbouring modes.  Grid
     points whose margin is not strictly positive or whose norms exceed the
     cap are skipped.  Returns (-inf, 1, 1) if no grid point qualifies.
+
+    The grid is evaluated one beta_d row at a time, every admissible beta_r
+    stacked into one LAPACK call for the margins and one for the rates of
+    the positive points.  Rows, not the whole 784-point grid, keep peak
+    memory near that of a point-by-point scan.  Ties keep the first point
+    in grid order.
     """
     nd = float(np.abs(np.linalg.eigvalsh(dm)).max())
     nr = float(np.abs(np.linalg.eigvalsh(rm)).max())
     best_rate = -math.inf
     best = (1.0, 1.0)
+    beta_rs = np.array([beta_r for beta_r in _BETA_LADDER if beta_r * nr <= _NORM_CAP])
+    if not beta_rs.size:
+        return best_rate, best[0], best[1]
+    scaled_r = beta_rs[:, None, None] * rm
     for beta_d in _BETA_LADDER:
         if beta_d * nd > _NORM_CAP:
             continue
-        for beta_r in _BETA_LADDER:
-            if beta_r * nr > _NORM_CAP:
-                continue
-            if spectrum(beta_d * dm, beta_r * rm).classification() != "positive":
-                continue
-            rate = _canonical_rate(beta_d * dm, beta_r * rm)
+        scaled_d = beta_d * dm
+        m = scaled_d + 1j * scaled_r
+        margins = np.sort(np.linalg.eigvals(m).real, axis=1)[:, 1]
+        positive = is_positive(margins, np.linalg.norm(m, 2, axis=(1, 2)))
+        if not positive.any():
+            continue
+        rates = _canonical_rates(scaled_d, scaled_r[positive])
+        for beta_r, rate in zip(beta_rs[positive], rates):
             if rate > best_rate + 1e-12:
-                best_rate = rate
-                best = (beta_d, beta_r)
+                best_rate = float(rate)
+                best = (beta_d, float(beta_r))
     return best_rate, best[0], best[1]
 
 
 def _finalize(
-    d: WeightedLaplacian, r: WeightedLaplacian
+    d: WeightedLaplacian,
+    r: WeightedLaplacian,
+    scaling: tuple[float, float, float] | None = None,
 ) -> tuple[WeightedLaplacian, WeightedLaplacian]:
-    """Check the margin and rescale the families for fast settling."""
+    """Check the margin and rescale the families for fast settling.
+
+    ``scaling`` is ``_best_scaling``'s result for this pair, when the caller
+    has already computed it."""
     rep = spectrum(d, r)
     if rep.classification() != "positive":
         raise ConstructionError(f"synthesized margin is not positive: {rep.margin!r}")
-    rate, beta_d, beta_r = _best_scaling(d.matrix, r.matrix)
+    rate, beta_d, beta_r = scaling or _best_scaling(d.matrix, r.matrix)
     if not math.isfinite(rate) or (beta_d, beta_r) == (1.0, 1.0):
         return d, r
     d2, r2 = rescale(d, beta_d), rescale(r, beta_r)
@@ -609,8 +628,10 @@ def construct_synchronizing_weights(
     a generic laplacian (spectra separated), and the restorative edges that
     cross the split are restored at a common small weight chosen so the
     margin stays positive; the closed-form perturbation bound is kept as the
-    last-resort candidate.  The final pair is rescaled by a common factor so
-    the margin is comfortably positive for downstream simulation.
+    last-resort candidate.  Finally the two families are rescaled by
+    separate factors (beta_d, beta_r), chosen on a grid to maximise the
+    decay rate of the unit oscillator array, so the pair settles quickly in
+    downstream simulation.
 
     Raises ValueError for non-SS input, ConstructionError if a numeric
     postcondition fails.
@@ -628,14 +649,17 @@ def construct_synchronizing_weights(
         # only, so each has a port vertex; growing the component weights
         # from the port keeps every eigenmode visible to the damping.  Each
         # taper grades the profile differently; the one whose best rescale
-        # settles fastest wins.
+        # settles fastest wins.  Tapers often give the same profile (always
+        # when there are no springs); a repeat would only tie, and ties keep
+        # the first, so each distinct profile is ranked once.
         port: dict[int, int] = {}
         for k, l in ic.dissipative_edges:
             for v in (k, l):
                 cid = comp.assignment[v - 1]
                 port.setdefault(cid, v)
         best_weights: list[float] | None = None
-        best_rate = -math.inf
+        best_scaling = (-math.inf, 1.0, 1.0)
+        ranked: set[tuple[float, ...]] = set()
         failure: ConstructionError | None = None
         for taper in _TAPERS:
             trial = [0.0] * ic.p_r
@@ -661,20 +685,19 @@ def construct_synchronizing_weights(
             except ConstructionError as exc:
                 failure = exc
                 continue
-            rate, _, _ = _best_scaling(
-                d.matrix, laplacian(q, ic.restorative_edges, trial).matrix
-            )
-            if rate > best_rate + 1e-12:
-                best_rate = rate
+            if tuple(trial) in ranked:
+                continue
+            ranked.add(tuple(trial))
+            scaling = _best_scaling(d.matrix, laplacian(q, ic.restorative_edges, trial).matrix)
+            if scaling[0] > best_scaling[0] + 1e-12:
+                best_scaling = scaling
                 best_weights = trial
-            if not ic.p_r:
-                break
         if best_weights is None:
             raise failure if failure is not None else ConstructionError(
                 "no taper produced a usable weight profile"
             )
         r = laplacian(q, ic.restorative_edges, best_weights)
-        return _finalize(d, r)
+        return _finalize(d, r, best_scaling)
 
     # Restorative graph connected on all q vertices.
     if q == 2:

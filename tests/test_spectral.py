@@ -60,7 +60,6 @@ class TestSpectrum:
         keys = [(lam.real, lam.imag) for lam in report.eigenvalues]
         assert keys == sorted(keys)
         assert np.allclose(np.linalg.norm(report.eigenvectors, axis=0), 1.0)
-        assert report.lambda2_real == report.margin
 
     def test_eigenpairs_satisfy_equation(self):
         d, r = _random_pair(np.random.default_rng(8), 6)
