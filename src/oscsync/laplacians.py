@@ -144,6 +144,18 @@ def validate_laplacian(
     return ValidationResult(ok=not failures, failures=tuple(failures))
 
 
+def _log_range(weight_range: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = weight_range
+    if not (0 < lo <= hi):
+        raise ValueError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    return math.log(lo), math.log(hi)
+
+
+def _log_uniform(seed: int, count: int, log_range: tuple[float, float]) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(*log_range, size=count))
+
+
 def sample_laplacian(
     q: int,
     edges: Sequence[Sequence[int]],
@@ -151,13 +163,35 @@ def sample_laplacian(
     weight_range: tuple[float, float] = (0.1, 10.0),
 ) -> WeightedLaplacian:
     """Laplacian with log-uniform weights; deterministic for a fixed seed."""
-    lo, hi = weight_range
-    if not (0 < lo <= hi):
-        raise ValueError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    log_range = _log_range(weight_range)
     norm_edges = normalize_edges(q, edges)
-    rng = np.random.default_rng(seed)
-    ws = np.exp(rng.uniform(math.log(lo), math.log(hi), size=len(norm_edges)))
+    ws = _log_uniform(seed, len(norm_edges), log_range)
     return laplacian(q, norm_edges, [float(w) for w in ws])
+
+
+def sample_matrices(
+    q: int,
+    edges: Sequence[Edge],
+    seeds: Sequence[int],
+    weight_range: tuple[float, float] = (0.1, 10.0),
+) -> np.ndarray:
+    """``sample_laplacian(q, edges, s, weight_range).matrix`` for each seed
+    s, stacked (seeds x q x q), without building the laplacians.
+
+    ``edges`` must be normalized.  Entries accumulate in the per-edge order
+    of ``WeightedLaplacian.matrix``, vectorized across the seeds, so each
+    slice equals that matrix bit for bit.
+    """
+    log_range = _log_range(weight_range)
+    weights = np.array([_log_uniform(s, len(edges), log_range) for s in seeds])
+    m = np.zeros((len(seeds), q, q))
+    for (k, l), w in zip(edges, weights.T):
+        a, b = k - 1, l - 1
+        m[:, a, a] += w
+        m[:, b, b] += w
+        m[:, a, b] -= w
+        m[:, b, a] -= w
+    return m
 
 
 def rescale(lap: WeightedLaplacian, alpha: float | Fraction) -> WeightedLaplacian:

@@ -38,10 +38,21 @@ def is_positive(margin, scale):
     """The margin clears the borderline band 10 * tau_eig(scale).
 
     The one definition of a 'positive' margin, shared by
-    ``SpectralReport.classification`` and the rescale grid of weight
-    synthesis; elementwise on arrays of margins and scales.
+    ``SpectralReport.classification`` and ``positive_stack``; elementwise
+    on arrays of margins and scales.
     """
     return margin > _band(scale)
+
+
+def positive_stack(m: np.ndarray) -> np.ndarray:
+    """Which matrices D + jR of a stack ``m`` (last two axes) have a
+    positive margin, by ``SpectralReport.classification``'s test with one
+    stacked ``eigvals`` for the margins and one stacked 2-norm for the
+    scales.  Shared by the rescale grid of weight synthesis and by
+    falsification.
+    """
+    margins = np.sort(np.linalg.eigvals(m).real, axis=-1)[..., 1]
+    return is_positive(margins, np.linalg.norm(m, 2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True, eq=False)

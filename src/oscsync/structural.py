@@ -36,8 +36,9 @@ from .laplacians import (
     laplacian,
     rescale,
     sample_laplacian,
+    sample_matrices,
 )
-from .spectral import is_positive, spectrum
+from .spectral import positive_stack, spectrum
 
 _PHI = (1 + math.sqrt(5)) / 2
 
@@ -403,6 +404,11 @@ def witness_to_laplacians(
     return d, r
 
 
+# Sampled trials classified per stacked LAPACK call: bounds the stack's
+# memory and the trials drawn in vain after an early hit.
+_FALSIFY_CHUNK = 32
+
+
 def falsify_by_sampling(
     ic: Interconnection,
     trials: int,
@@ -416,6 +422,11 @@ def falsify_by_sampling(
     deterministically from ``seed``.  Returns the first non-positive pair or
     None.  The input must pass ``is_ss``; for universal (SSS)
     interconnections this returns None for every seed.
+
+    Trial i draws its two weight seeds from the seed's generator, then its
+    dissipative and restorative weights as ``sample_laplacian`` does.  The
+    trials are classified in chunks, one ``positive_stack`` call each, and
+    only the returned pair is built as laplacians.
     """
     ssv = is_ss(ic)
     if not ssv.is_ss:
@@ -424,13 +435,23 @@ def falsify_by_sampling(
         if spectrum(d, r).classification() != "positive":
             return d, r
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        sd = int(rng.integers(0, 2**62))
-        sr = int(rng.integers(0, 2**62))
-        d = sample_laplacian(ic.q, ic.dissipative_edges, sd, weight_range)
-        r = sample_laplacian(ic.q, ic.restorative_edges, sr, weight_range)
-        if spectrum(d, r).classification() != "positive":
-            return d, r
+    done = 0
+    while done < trials:
+        seeds = [
+            (int(rng.integers(0, 2**62)), int(rng.integers(0, 2**62)))
+            for _ in range(min(_FALSIFY_CHUNK, trials - done))
+        ]
+        d_seeds, r_seeds = zip(*seeds)
+        dm = sample_matrices(ic.q, ic.dissipative_edges, d_seeds, weight_range)
+        rm = sample_matrices(ic.q, ic.restorative_edges, r_seeds, weight_range)
+        positive = positive_stack(dm + 1j * rm)
+        if not positive.all():
+            sd, sr = seeds[int(np.argmin(positive))]
+            return (
+                sample_laplacian(ic.q, ic.dissipative_edges, sd, weight_range),
+                sample_laplacian(ic.q, ic.restorative_edges, sr, weight_range),
+            )
+        done += len(seeds)
     return None
 
 
@@ -582,9 +603,7 @@ def _best_scaling(dm: np.ndarray, rm: np.ndarray) -> tuple[float, float, float]:
         if beta_d * nd > _NORM_CAP:
             continue
         scaled_d = beta_d * dm
-        m = scaled_d + 1j * scaled_r
-        margins = np.sort(np.linalg.eigvals(m).real, axis=1)[:, 1]
-        positive = is_positive(margins, np.linalg.norm(m, 2, axis=(1, 2)))
+        positive = positive_stack(scaled_d + 1j * scaled_r)
         if not positive.any():
             continue
         rates = _canonical_rates(scaled_d, scaled_r[positive])
