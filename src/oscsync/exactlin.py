@@ -1,13 +1,16 @@
 """Exact rational linear algebra.
 
-Small dense routines over ``fractions.Fraction``: reduced row echelon form,
-rank, null-space bases, and a phase-1 simplex that decides strict feasibility
-of systems ``M y >= 1`` exactly.  Everything here is deterministic; the
-simplex uses Bland's rule, so it terminates on degenerate inputs.
+Small dense routines: reduced row echelon form, rank and null-space bases
+from one fraction-free elimination over the integers, returned as
+``fractions.Fraction``, and a phase-1 simplex over Fractions that decides
+strict feasibility of systems ``M y >= 1`` exactly.  Everything here is
+deterministic; the simplex uses Bland's rule, so it terminates on
+degenerate inputs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +21,53 @@ Matrix = list[Row]
 def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
     """Copy ``rows`` into a list-of-lists of Fractions."""
     return [[Fraction(v) for v in row] for row in rows]
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int | None) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  A row
+    is eliminated against the pivot row by cross-multiplication and then
+    divided by the gcd of its entries, so the entries stay small and the
+    elimination does no rational arithmetic.  Returns the nonzero rows,
+    each a nonzero multiple of the corresponding row of the reduced echelon
+    form (which is unique), and the pivot columns.
+    """
+    m: list[list[int]] = []
+    for row in rows:
+        if set(map(type, row)) <= {int}:
+            m.append(list(row))
+            continue
+        fr = [Fraction(v) for v in row]
+        den = math.lcm(*(v.denominator for v in fr))
+        m.append([int(v.numerator) * (den // v.denominator) for v in fr])
+    if not m:
+        if ncols is None:
+            raise ValueError("ncols required for an empty row set")
+        return [], []
+    n = len(m[0])
+    if any(len(r) != n for r in m):
+        raise ValueError("ragged rows")
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                row = [pv * a - f * b for a, b in zip(m[i], top)]
+                g = math.gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[Matrix, list[int]]:
@@ -35,37 +85,13 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[Matrix, li
     (echelon, pivots):
         The echelon matrix (zero rows dropped) and pivot column indices.
     """
-    m = to_fraction_matrix(rows)
-    if not m:
-        if ncols is None:
-            raise ValueError("ncols required for an empty row set")
-        return [], []
-    n = len(m[0])
-    if any(len(r) != n for r in m):
-        raise ValueError("ragged rows")
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    m, pivots = _eliminate(rows, ncols)
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence], ncols: int | None = None) -> int:
     """Rank over the rationals."""
-    return len(rref(rows, ncols)[1])
+    return len(_eliminate(rows, ncols)[1])
 
 
 def null_space(rows: Sequence[Sequence], ncols: int) -> list[Row]:
@@ -75,14 +101,15 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> list[Row]:
     deterministic given the row set.  With no rows the standard basis of
     length ``ncols`` is returned.
     """
-    echelon, pivots = rref(rows, ncols)
+    m, pivots = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Row] = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -echelon[r][fc]
+        for row, pc in zip(m, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 

@@ -10,16 +10,18 @@ The second is decided exactly: a non-universal interconnection is certified
 by a rational sign witness x with sign(G_r^T G_r x) = sign(x) entrywise and
 G_d^T G_r x = 0.  With v = G_r x the second condition makes v constant on
 each damper class, so sign(x) = sign(G_r^T v) is a covector of the spring
-graph with the damper classes contracted.  ``is_sss`` walks these covectors
-depth-first in lexicographic order, pruning any prefix whose order on the
-classes is inconsistent, and solves each covector's linear system in exact
-arithmetic.  ``witness_to_laplacians`` turns the certificate into a
-concrete weight pair whose margin is pinned at zero no matter which
-dissipative weights are chosen.
+graph with the damper classes contracted.  ``is_sss`` takes supports first,
+then signs: it enumerates the covectors' supports (the complements of the
+graph's flats), settles each support once, by the forced-zero rule and
+otherwise by exact elimination, and walks sign vectors only inside the live
+ones, merged into lexicographic order.  ``witness_to_laplacians`` turns the
+certificate into a concrete weight pair whose margin is pinned at zero no
+matter which dissipative weights are chosen.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,36 +178,124 @@ def _relate(
     )
 
 
-def _covectors(ric: Interconnection) -> Iterator[tuple[int, ...]]:
-    """Admissible covectors of the spring graph with damper classes
-    contracted, in lexicographic order (-1 < 0 < +1, first nonzero +1).
-
-    These are the sign vectors sign(v_k - v_l) over the restorative edges
-    (k, l), for v constant on each damper class.  Depth-first over the
-    edges in stored order; a prefix that is consistent always extends to a
-    covector (take any v realizing it), so no branch is a dead end.
-    """
+def _contract(ric: Interconnection) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Number of damper classes, the class of each vertex, and the two end
+    classes of each spring (classes numbered from 0)."""
     dc = components(ric.q, ric.dissipative_edges)
-    ends = [
-        (dc.assignment[k - 1] - 1, dc.assignment[l - 1] - 1)
-        for k, l in ric.restorative_edges
-    ]
-    p = len(ends)
-    sig = [0] * p
+    cls = [c - 1 for c in dc.assignment]
+    return dc.count, cls, [(cls[k - 1], cls[l - 1]) for k, l in ric.restorative_edges]
 
-    def walk(i, group, above, started):
+
+def _supports(
+    count: int, ends: Sequence[tuple[int, int]]
+) -> list[tuple[tuple[bool, ...], tuple[int, ...]]]:
+    """Non-empty supports of the admissible covectors, each with the groups
+    of its flat.
+
+    The zero set of a covector sign(v_k - v_l) is a flat of the spring
+    graph on ``count`` damper classes: its 0-springs merge classes into
+    groups of equal value, and each nonzero spring joins two different
+    groups.  Depth-first over the springs in stored order, a 0 merges the
+    two end groups and a nonzero keeps them apart for good.
+    ``group[i]`` is the bitmask of the classes in class i's group and
+    ``apart[i]`` that of the classes kept apart from it.  A consistent
+    prefix always extends (make every later spring nonzero unless its ends
+    are already merged), so no branch is a dead end.
+    """
+    p = len(ends)
+    support = [False] * p
+    found = []
+
+    def walk(i, group, apart):
         if i == p:
-            if started:
-                yield tuple(sig)
+            if any(support):
+                found.append((tuple(support), group))
             return
         a, b = ends[i]
-        for s in (-1, 0, 1) if started else (0, 1):
+        if not apart[a] >> b & 1:
+            merged = group[a] | group[b]
+            far = apart[a] | apart[b]
+            support[i] = False
+            walk(
+                i + 1,
+                tuple(merged if merged >> j & 1 else g for j, g in enumerate(group)),
+                tuple(
+                    far if merged >> j & 1 else (u | merged if u & merged else u)
+                    for j, u in enumerate(apart)
+                ),
+            )
+        if not group[a] >> b & 1:
+            ga, gb = group[a], group[b]
+            support[i] = True
+            walk(
+                i + 1,
+                group,
+                tuple(
+                    u | gb if ga >> j & 1 else (u | ga if gb >> j & 1 else u)
+                    for j, u in enumerate(apart)
+                ),
+            )
+
+    walk(0, tuple(1 << i for i in range(count)), (0,) * count)
+    return found
+
+
+def _forced_zero(
+    ric: Interconnection, cls: Sequence[int], support: Sequence[bool], group: Sequence[int]
+) -> bool:
+    """True when the support is dead by the forced-zero rule.
+
+    With v = G_r x, v_u is the signed sum of x over the springs at u, so a
+    vertex with no spring in the support has v_u = 0, and so has every
+    class in its group.  A support spring between two such groups would
+    have (G_r^T G_r x)_e = v_k - v_l = 0 against x_e != 0.  That spring's
+    image row vanishes on the support's null space, so the rule only ever
+    rejects supports that ``_PatternScanner._support_data`` rejects too.
+    """
+    touched = {v for e, on in zip(ric.restorative_edges, support) if on for v in e}
+    zero = 0
+    for u in range(1, ric.q + 1):
+        if u not in touched:
+            zero |= group[cls[u - 1]]
+    return any(
+        on and zero >> cls[k - 1] & 1 and zero >> cls[l - 1] & 1
+        for (k, l), on in zip(ric.restorative_edges, support)
+    )
+
+
+def _lower_bound(support: Sequence[bool]) -> tuple[int, ...]:
+    """Lexicographically smallest admissible pattern on ``support``: +1 on
+    its first spring, -1 on the others."""
+    first = support.index(True)
+    return tuple(0 if not on else (1 if i == first else -1) for i, on in enumerate(support))
+
+
+def _sign_walk(
+    ends: Sequence[tuple[int, int]], support: Sequence[bool], group: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Admissible covectors on exactly ``support``, in lexicographic order.
+
+    Starts from the flat's groups with no order and walks -1 before +1
+    over the support springs in stored order, the first one +1 only.  A
+    prefix that is consistent always extends to a covector (take any v
+    realizing it), so no branch is a dead end.
+    """
+    on = [i for i, s in enumerate(support) if s]
+    sig = [0] * len(support)
+
+    def walk(j, group, above):
+        if j == len(on):
+            yield tuple(sig)
+            return
+        i = on[j]
+        a, b = ends[i]
+        for s in (-1, 1) if j else (1,):
             order = _relate(group, above, a, b, s)
             if order is not None:
                 sig[i] = s
-                yield from walk(i + 1, *order, started or s != 0)
+                yield from walk(j + 1, *order)
 
-    yield from walk(0, tuple(1 << i for i in range(dc.count)), (0,) * dc.count, False)
+    yield from walk(0, group, (0,) * len(group))
 
 
 def _admissible_rank(sig: Sequence[int]) -> int:
@@ -233,41 +323,45 @@ class _PatternScanner:
         self.cache: dict[tuple[bool, ...], tuple | None] = {}
 
     def _support_data(self, support: tuple[bool, ...]):
+        """(basis, xrows, arows) for the support, or None when it is dead.
+
+        ``basis`` spans the x with the support's equality system, and
+        ``xrows[i]``, ``arows[i]`` give x_i and (G_r^T G_r x)_i in it for
+        each support spring i.  Dead: no basis, or some support spring
+        whose x_i or image entry vanishes on all of it.
+
+        x is zero off the support, so the system is solved over the
+        support's columns: the dissipative rows and the zero springs' image
+        rows.  Dropping the x_i = 0 rows with their columns moves no other
+        pivot, so the basis, padded back with zeros, is the one the full
+        system gives.
+        """
         if support in self.cache:
             return self.cache[support]
-        p = self.p
-        rows: list[list[int]] = [list(r) for r in self.c]
-        for i in range(p):
-            if not support[i]:
-                e = [0] * p
-                e[i] = 1
-                rows.append(e)
-                rows.append(list(self.a[i]))
-        basis = exactlin.null_space(rows, p)
+        on = [i for i, s in enumerate(support) if s]
+        rows = [[r[j] for j in on] for r in self.c]
+        rows += [[self.a[i][j] for j in on] for i, s in enumerate(support) if not s]
+        basis = exactlin.null_space(rows, len(on))
         data = None
         if basis:
-            k = len(basis)
             xrows: dict[int, list[Fraction]] = {}
             arows: dict[int, list[Fraction]] = {}
-            dead = False
-            for i in range(p):
-                if not support[i]:
-                    continue
-                xr = [basis[b][i] for b in range(k)]
-                ar = [
-                    sum(
-                        (Fraction(self.a[i][j]) * basis[b][j] for j in range(p)),
-                        Fraction(0),
-                    )
-                    for b in range(k)
-                ]
-                if all(v == 0 for v in xr) or all(v == 0 for v in ar):
-                    dead = True
+            for t, i in enumerate(on):
+                terms = [(u, self.a[i][j]) for u, j in enumerate(on) if self.a[i][j]]
+                xr = [b[t] for b in basis]
+                ar = [sum(a_ij * b[u] for u, a_ij in terms) for b in basis]
+                if not any(xr) or not any(ar):
                     break
                 xrows[i] = xr
                 arows[i] = ar
-            if not dead:
-                data = (basis, xrows, arows)
+            else:
+                padded = []
+                for b in basis:
+                    x = [Fraction(0)] * self.p
+                    for j, v in zip(on, b):
+                        x[j] = v
+                    padded.append(x)
+                data = (padded, xrows, arows)
         self.cache[support] = data
         return data
 
@@ -301,14 +395,20 @@ class _PatternScanner:
 def is_sss(ic: Interconnection, budget: int = 14, jobs: int = 1) -> SSSVerdict:
     """Decide whether every positive weight assignment synchronizes.
 
-    Reduces the interconnection, then walks the admissible covectors of the
-    spring graph with damper classes contracted, in lexicographic order
-    (-1 < 0 < +1, first nonzero positive), and decides each exactly over
-    the rationals.  Every feasible sign pattern is such a covector, since
-    v = G_r x is constant on damper classes and sign(x) = sign(G_r^T v);
-    so the first feasible covector is the lexicographically first feasible
-    pattern.  Returns its witness, or is_sss=True once the covectors run
-    out.
+    Reduces the interconnection and looks for the lexicographically first
+    feasible sign pattern (-1 < 0 < +1, first nonzero positive).  Every
+    feasible pattern is a covector of the spring graph with damper classes
+    contracted, since v = G_r x is constant on damper classes and
+    sign(x) = sign(G_r^T v).  So the supports of the covectors are
+    enumerated first, and each is settled once: dead by the forced-zero
+    rule (``_forced_zero``), else by exact elimination of its equality
+    system.  The sign walks of the live supports are merged into
+    lexicographic order, a support entering at its smallest admissible
+    pattern, and each covector is decided exactly over the rationals.  A
+    support with a one-dimensional system has one candidate, the sign of
+    its basis vector.  The first feasible covector is the answer, and
+    supports whose smallest pattern lies above it are never settled.
+    Returns its witness, or is_sss=True once the live supports run out.
 
     Raises BudgetExceededError when the reduced restorative edge count
     exceeds ``budget``.  ``jobs`` is accepted for compatibility and has no
@@ -328,19 +428,47 @@ def is_sss(ic: Interconnection, budget: int = 14, jobs: int = 1) -> SSSVerdict:
 
     a, c = _sign_matrices(ric)
     scanner = _PatternScanner(a, c, p)
-    for sig in _covectors(ric):
-        x = scanner.witness_for(sig)
-        if x is None:
-            continue
-        witness = SignWitness.from_rationals(x)
-        if not verify_witness(ric, witness.x):
-            raise RuntimeError("internal: enumerated witness failed exact verification")
-        return SSSVerdict(
-            is_sss=False,
-            witness=witness,
-            refuted_patterns=_admissible_rank(sig),
-            reason="witness-found",
-        )
+    count, cls, ends = _contract(ric)
+    supports = _supports(count, ends)
+    # One heap merges the supports' sign walks into lexicographic order.  A
+    # support enters under its lower bound and is settled when that is
+    # popped, before it has a walk; so supports above the first witness
+    # are never settled.
+    heap = [(_lower_bound(support), i) for i, (support, _) in enumerate(supports)]
+    heapq.heapify(heap)
+    walks: dict[int, Iterator[tuple[int, ...]]] = {}
+    while heap:
+        sig, i = heapq.heappop(heap)
+        if i not in walks:
+            support, group = supports[i]
+            if _forced_zero(ric, cls, support, group):
+                continue
+            data = scanner._support_data(support)
+            if data is None:
+                continue
+            basis = data[0]
+            # With one direction, x is a multiple of the basis vector, so
+            # its sign pattern is the one candidate on this support.
+            walks[i] = (
+                iter([SignWitness.from_rationals(basis[0]).sign_pattern])
+                if len(basis) == 1
+                else _sign_walk(ends, support, group)
+            )
+        else:
+            x = scanner.witness_for(sig)
+            if x is not None:
+                witness = SignWitness.from_rationals(x)
+                if not verify_witness(ric, witness.x):
+                    raise RuntimeError("internal: enumerated witness failed exact verification")
+                return SSSVerdict(
+                    is_sss=False,
+                    witness=witness,
+                    refuted_patterns=_admissible_rank(sig),
+                    reason="witness-found",
+                )
+        nxt = next(walks[i], None)
+        if nxt is not None:
+            heapq.heappush(heap, (nxt, i))
     return SSSVerdict(
         is_sss=True,
         witness=None,
@@ -420,8 +548,11 @@ def falsify_by_sampling(
 
     Tries ``candidates`` first, then ``trials`` log-uniform samples derived
     deterministically from ``seed``.  Returns the first non-positive pair or
-    None.  The input must pass ``is_ss``; for universal (SSS)
-    interconnections this returns None for every seed.
+    None.  The input must pass ``is_ss``.  A universal (SSS)
+    interconnection can still yield a pair: a sample whose margin is
+    positive but inside the borderline band is not classified positive.
+    On ``gapped-path-end`` that happens at 25 of seeds 0-29 with 100 trials
+    and the default range, every pair classified borderline.
 
     Trial i draws its two weight seeds from the seed's generator, then its
     dissipative and restorative weights as ``sample_laplacian`` does.  The

@@ -1,4 +1,4 @@
-"""The covector walk behind ``is_sss`` against the plain 3**p scanner.
+"""The supports-first walk behind ``is_sss`` against the plain 3**p scanner.
 
 The reference below feeds every admissible sign pattern (first nonzero
 entry +1) to ``_PatternScanner`` in lexicographic order, the way
@@ -7,6 +7,12 @@ verdict, the reason, the witness and ``refuted_patterns``.  Every pattern
 the simplex finds feasible must be a covector of the spring graph with the
 damper classes contracted, and the scanner, which skips the simplex on
 one-direction supports, must agree with the simplex on every pattern.
+
+``is_sss`` enumerates the covectors' supports, settles each by the
+forced-zero rule and then by elimination, and merges the sign walks of the
+live ones.  The supports and the walks are checked against brute-force
+covectors, the rule against elimination, and the support systems, which
+are solved over the support's columns only, against the full system.
 """
 
 from itertools import combinations, product
@@ -45,6 +51,93 @@ def admissible_patterns(p):
 def scanner_for(ric):
     a, c = structural._sign_matrices(ric)
     return structural._PatternScanner(a, c, ric.p_r)
+
+
+def full_system_basis(ric, support):
+    """Null-space basis of a support's equality system over all p columns:
+    the dissipative rows, then x_i = 0 and the image row for each zero
+    spring."""
+    a, c = structural._sign_matrices(ric)
+    p = ric.p_r
+    rows = [list(r) for r in c]
+    for i in range(p):
+        if not support[i]:
+            rows += [[int(j == i) for j in range(p)], list(a[i])]
+    return exactlin.null_space(rows, p)
+
+
+def settled_supports(ric):
+    """(support, groups, forced-zero verdict) for every enumerated support."""
+    count, cls, ends = structural._contract(ric)
+    return [
+        (support, group, structural._forced_zero(ric, cls, support, group))
+        for support, group in structural._supports(count, ends)
+    ]
+
+
+def merged_walks(ric):
+    """Every support's sign walk, concatenated in enumeration order."""
+    count, _, ends = structural._contract(ric)
+    walks = []
+    for support, group in structural._supports(count, ends):
+        walk = list(structural._sign_walk(ends, support, group))
+        assert walk == sorted(walk)
+        assert all(tuple(v != 0 for v in sig) == support for sig in walk)
+        walks += walk
+    return walks
+
+
+def check_supports_and_walks(ric):
+    """The enumerated supports are the distinct supports of the brute-force
+    covectors, in order, each with the groups its zero springs join; the
+    sign walks together yield every covector exactly once."""
+    count, _, ends = structural._contract(ric)
+    covectors = brute_covectors(ric)
+    supports = structural._supports(count, ends)
+    assert [support for support, _ in supports] == sorted(
+        {tuple(v != 0 for v in sig) for sig in covectors}
+    )
+    for support, group in supports:
+        merged = [{i} for i in range(count)]
+        for (a, b), on in zip(ends, support):
+            if not on:
+                for i in merged[a] | merged[b]:
+                    merged[i] = merged[a] | merged[b]
+        assert group == tuple(sum(1 << i for i in m) for m in merged)
+    walked = merged_walks(ric)
+    assert len(walked) == len(set(walked))
+    assert sorted(walked) == sorted(covectors)
+
+
+def check_settling(ric):
+    """Every support the forced-zero rule rejects is dead by elimination.
+    ``_support_data``, which solves over the support's columns, returns the
+    full system's basis, and calls a support dead only when the full
+    system has no basis or a support spring whose x entry or image entry
+    vanishes on all of it."""
+    a, _ = structural._sign_matrices(ric)
+    scanner = scanner_for(ric)
+    for support, _, by_rule in settled_supports(ric):
+        data = scanner._support_data(support)
+        basis = full_system_basis(ric, support)
+        if data is not None:
+            assert not by_rule
+            assert data[0] == basis
+        else:
+            assert not basis or any(
+                on
+                and (
+                    all(b[i] == 0 for b in basis)
+                    or all(exactlin.matvec([a[i]], b)[0] == 0 for b in basis)
+                )
+                for i, on in enumerate(support)
+            )
+
+
+def corpus(max_cycle):
+    """All 64 K4 labellings, the gallery, alternating_cycle(4 ... max_cycle)."""
+    cases = list(k4_labellings()) + [f.ic for f in fixtures.gallery()]
+    return cases + [fixtures.alternating_cycle(q) for q in range(4, max_cycle + 1, 2)]
 
 
 def simplex_feasible(scanner, sig):
@@ -137,10 +230,12 @@ class TestAgainstFullScan:
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(ss_interconnections())
-    def test_walk_yields_exactly_the_covectors_in_order(self, ic):
-        ric = graphs.reduce(ic)
-        walked = list(structural._covectors(ric))
-        assert walked == sorted(brute_covectors(ric))
+    def test_supports_and_walks_yield_exactly_the_covectors(self, ic):
+        check_supports_and_walks(graphs.reduce(ic))
+
+    def test_supports_and_walks_on_k4_gallery_and_cycles(self):
+        for ic in corpus(max_cycle=12):
+            check_supports_and_walks(graphs.reduce(ic))
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(ss_interconnections(p_r_max=6))
@@ -148,7 +243,7 @@ class TestAgainstFullScan:
         ric = graphs.reduce(ic)
         if ric.p_r == 0:
             return
-        covectors = set(structural._covectors(ric))
+        covectors = brute_covectors(ric)
         scanner = scanner_for(ric)
         for sig in admissible_patterns(ric.p_r):
             feasible = simplex_feasible(scanner, sig)
@@ -156,10 +251,60 @@ class TestAgainstFullScan:
             if feasible:
                 assert sig in covectors
 
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(ss_interconnections())
+    def test_simplex_calls_match_the_covector_walk(self, ic):
+        # Walking every covector in lexicographic order up to the first
+        # feasible one: the merged walk must make exactly these calls.
+        ric = graphs.reduce(ic)
+        with pytest.MonkeyPatch.context() as mp:
+            expected = count_calls(mp)
+            scanner = scanner_for(ric)
+            for sig in sorted(brute_covectors(ric)):
+                if scanner.witness_for(sig) is not None:
+                    break
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp)
+            is_sss(ic)
+        assert calls["strictly_feasible"] == expected["strictly_feasible"]
+
     def test_rank_closed_form(self):
         for p in range(1, 6):
             for rank, sig in enumerate(admissible_patterns(p)):
                 assert structural._admissible_rank(sig) == rank
+
+
+class TestSettlingSupports:
+    def test_rule_and_support_columns_on_k4_gallery_and_cycles(self):
+        for ic in corpus(max_cycle=14):
+            check_settling(graphs.reduce(ic))
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(ss_interconnections())
+    def test_rule_and_support_columns_on_random_interconnections(self, ic):
+        check_settling(graphs.reduce(ic))
+
+    def test_rule_rejects_most_cycle_supports(self):
+        settled = settled_supports(graphs.reduce(fixtures.alternating_cycle(18)))
+        assert (len(settled), sum(dead for *_, dead in settled)) == (502, 345)
+
+
+class TestLadder:
+    """Answers measured with the covector walk before supports came first."""
+
+    @pytest.mark.parametrize(
+        "q, witness, refuted",
+        [
+            (24, (1, -1) * 5 + (1, 1), 132_861),
+            (26, None, 797_161),
+            (28, (1, -1) * 6 + (1, 1), 1_195_743),
+        ],
+    )
+    def test_alternating_cycles(self, q, witness, refuted):
+        verdict = is_sss(fixtures.alternating_cycle(q))
+        assert verdict.is_sss == (witness is None)
+        assert (verdict.witness and verdict.witness.x) == witness
+        assert verdict.refuted_patterns == refuted
 
 
 class TestWorkDone:
@@ -170,6 +315,14 @@ class TestWorkDone:
         assert verdict.is_sss and verdict.reason == "patterns-exhausted"
         assert verdict.refuted_patterns == (3**ic.p_r - 1) // 2
         assert calls == {"null_space": 0, "strictly_feasible": 0}
+
+    def test_cycle_settles_few_supports_by_elimination(self, monkeypatch):
+        # The covector walk made 502 null_space calls here, one per
+        # support, all dead; the forced-zero rule settles 345 of them.
+        calls = count_calls(monkeypatch)
+        verdict = is_sss(fixtures.alternating_cycle(18))
+        assert verdict.is_sss and verdict.refuted_patterns == 9841
+        assert calls == {"null_space": 157, "strictly_feasible": 0}
 
     def test_braced_chain_two_simplex_calls(self, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -183,8 +336,10 @@ class TestEdgeCases:
     def test_spring_inside_a_damper_class_is_always_zero(self):
         # Spring (1, 3) joins two vertices of the damper class {1, 2, 3}.
         ric = Interconnection(5, ((1, 2), (2, 3), (4, 5)), ((1, 3), (3, 4), (1, 5)))
-        walked = list(structural._covectors(ric))
-        assert walked
+        supports = [support for support, *_ in settled_supports(ric)]
+        walked = merged_walks(ric)
+        assert supports and walked
+        assert not any(support[0] for support in supports)
         assert all(sig[0] == 0 for sig in walked)
 
     def test_springs_inside_one_class_universal_without_simplex(self, monkeypatch):
@@ -196,10 +351,10 @@ class TestEdgeCases:
         assert calls["strictly_feasible"] == 0
 
     def test_budget_guard_raises_before_walking(self, monkeypatch):
-        def walk(_ric):
+        def enumerate_supports(*_args):
             raise AssertionError("walked past the budget")
 
-        monkeypatch.setattr(structural, "_covectors", walk)
+        monkeypatch.setattr(structural, "_supports", enumerate_supports)
         r_edges = tuple((k, k + 1) for k in range(1, 17))
         with pytest.raises(BudgetExceededError, match="undecided-budget: 15"):
             is_sss(Interconnection(17, ((1, 2),), r_edges), budget=14)

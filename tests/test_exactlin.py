@@ -1,14 +1,16 @@
 """Exact rational linear algebra, cross-checked against independent oracles.
 
 Oracles: hand-reduced echelon forms for small matrices, numpy's rank on
-integer matrices, and scipy's floating-point LP as an independent route to
-the strict-feasibility verdict.
+integer matrices, Gauss-Jordan elimination over Fractions for the
+fraction-free elimination, and scipy's floating-point LP as an independent
+route to the strict-feasibility verdict.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from oscsync import exactlin
@@ -99,6 +101,98 @@ class TestNullSpace:
         # x + y + z = 0: free coords y, z each set to 1 in its basis vector.
         basis = exactlin.null_space([[1, 1, 1]], 3)
         assert basis == as_fractions([[-1, 1, 0], [-1, 0, 1]])
+
+
+def fraction_rref(rows, ncols=None):
+    """Gauss-Jordan elimination over Fractions: normalize each pivot row,
+    then clear its column from every other row."""
+    m = [[F(v) for v in row] for row in rows]
+    if not m:
+        if ncols is None:
+            raise ValueError("ncols required for an empty row set")
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def fraction_null_space(rows, ncols):
+    echelon, pivots = fraction_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -echelon[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def matrices(draw, entries):
+    """(ncols, rows): up to five drawn rows, sometimes a combination of
+    them (rank-deficient) and a zero row; no rows at all is allowed."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(ncols)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return ncols, rows
+
+
+INTEGERS = st.integers(-6, 6)
+RATIONALS = st.one_of(INTEGERS, st.fractions(min_value=-6, max_value=6, max_denominator=9))
+
+
+class TestFractionFreeElimination:
+    """rref, rank and null_space against elimination over Fractions."""
+
+    def check(self, ncols, rows, same_rows=None):
+        """``same_rows``: the rows in another form for the reference."""
+        ref = rows if same_rows is None else same_rows
+        echelon, pivots = exactlin.rref(rows, ncols)
+        assert (echelon, pivots) == fraction_rref(ref, ncols)
+        assert all(type(v) is F for row in echelon for v in row)
+        assert exactlin.rank(rows, ncols) == len(pivots)
+        basis = exactlin.null_space(rows, ncols)
+        assert basis == fraction_null_space(ref, ncols)
+        assert all(type(v) is F for row in basis for v in row)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(matrices(INTEGERS))
+    def test_integer_matrices(self, drawn):
+        self.check(*drawn)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(matrices(RATIONALS))
+    def test_rational_matrices(self, drawn):
+        self.check(*drawn)
+
+    def test_wide_numpy_integers_do_not_wrap(self):
+        # Cross-multiplying these in int64 would overflow.
+        rows = [[2**40, 3, 1], [5, 2**40, 7]]
+        self.check(3, list(np.array(rows, dtype=np.int64)), rows)
+
+    def test_floats_are_taken_exactly(self):
+        self.check(3, [[0.1, 0.5, 1.0], [0.25, 3.0, -0.75]])
 
 
 class TestMatvec:
