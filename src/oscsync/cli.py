@@ -10,10 +10,10 @@ timing goes to stderr.  Exit codes: 0 success, 1 operation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import dynamics, exactlin, fileio, fixtures, graphs, structural, topology
 from .laplacians import ConstructionError, laplacian
@@ -53,12 +53,13 @@ def _margin_line(d, r) -> str:
     return f"# margin {repr(report.margin)} ({report.classification()})"
 
 
-def _fast_path_verdict(ric) -> tuple[str, bool | None]:
-    """(topology kind, closed-form verdict or None when unavailable)."""
+def _fast_path_verdict(ric, ss: bool) -> tuple[str, bool | None]:
+    """(topology kind, closed-form verdict or None when unavailable);
+    ``ss`` is ``structural.is_ss(ric).is_ss``."""
     if not graphs.is_connected(ric.q, ric.union_edges):
         return "disconnected", None
     topo = topology.classify(ric.q, ric.union_edges)
-    if not structural.is_ss(ric).is_ss:
+    if not ss:
         return topo.kind, None
     if topo.kind == "path":
         return "path", topology.path_sss(ric)
@@ -92,14 +93,14 @@ def cmd_analyze(args) -> int:
     if verdict.witness is not None:
         print(f"witness x = {verdict.witness.x}")
         gr = graphs.incidence(ric.q, ric.restorative_edges).tolist()
-        potentials = exactlin.matvec(gr, [Fraction(e) for e in verdict.witness.x])
+        potentials = exactlin.matvec(gr, verdict.witness.x)
         print(f"potentials = {tuple(int(v) for v in potentials)}")
         if args.witness:
             _write(args.witness, fileio.write_witness(verdict.witness))
 
-    kind, fast = _fast_path_verdict(ric)
+    kind, fast = _fast_path_verdict(ric, ssv.is_ss)
     print(f"topology: {kind}")
-    if kind in ("path", "cycle", "tree") and structural.is_ss(ric).is_ss:
+    if kind in ("path", "cycle", "tree") and ssv.is_ss:
         if fast is None:
             print("fast-path: inconclusive")
         else:
@@ -197,10 +198,11 @@ def cmd_bench(args) -> int:
     with _timed("bench"):
         for fixture in fixtures.gallery():
             ric = graphs.reduce(fixture.ic)
-            kind, fast = _fast_path_verdict(ric)
+            ss = structural.is_ss(ric).is_ss
+            kind, fast = _fast_path_verdict(ric, ss)
             verdict = structural.is_sss(ric, budget=args.budget, jobs=args.jobs)
             general = "yes" if verdict.is_sss else "no"
-            tree_one_sided = kind == "tree" and structural.is_ss(ric).is_ss
+            tree_one_sided = kind == "tree" and ss
             if fast is None:
                 fast_text = "inconclusive" if tree_one_sided else "-"
                 agree = "-"
@@ -264,8 +266,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call;
+    ``parse_args`` returns a fresh namespace each time."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except fileio.ParseError as exc:

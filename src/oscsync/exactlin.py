@@ -1,9 +1,11 @@
 """Exact rational linear algebra.
 
 Small dense routines: reduced row echelon form, rank and null-space bases
-from one fraction-free elimination over the integers, returned as
-``fractions.Fraction``, and a phase-1 simplex over Fractions that decides
-strict feasibility of systems ``M y >= 1`` exactly.  Everything here is
+from one fraction-free elimination over the integers, a phase-1 simplex on
+a fraction-free integer tableau that decides strict feasibility of systems
+``M y >= 1`` exactly, and matrix-vector products as integer dot products.
+Inputs are scaled row by row to Python ints; results are returned as
+``fractions.Fraction``, built only at the end.  Everything here is
 deterministic; the simplex uses Bland's rule, so it terminates on
 degenerate inputs.
 """
@@ -18,9 +20,23 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    """Copy ``rows`` into a list-of-lists of Fractions."""
-    return [[Fraction(v) for v in row] for row in rows]
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """``row`` as Python ints over one positive denominator: ``(ints, den)``
+    with ``row[j] == ints[j] / den``.  Rationals are scaled by the lcm of
+    their denominators; numpy integers become Python ints, so nothing
+    wraps."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
+    fr = [Fraction(v) for v in row]
+    den = math.lcm(*(v.denominator for v in fr))
+    return [int(v.numerator) * (den // v.denominator) for v in fr], den
+
+
+def _combine(pv: int, row: list[int], f: int, top: list[int]) -> list[int]:
+    """``pv * row - f * top`` divided by the gcd of its entries."""
+    out = [pv * a - f * b for a, b in zip(row, top)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def _eliminate(rows: Sequence[Sequence], ncols: int | None) -> tuple[list[list[int]], list[int]]:
@@ -33,14 +49,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None) -> tuple[list[list[i
     each a nonzero multiple of the corresponding row of the reduced echelon
     form (which is unique), and the pivot columns.
     """
-    m: list[list[int]] = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            m.append(list(row))
-            continue
-        fr = [Fraction(v) for v in row]
-        den = math.lcm(*(v.denominator for v in fr))
-        m.append([int(v.numerator) * (den // v.denominator) for v in fr])
+    m = [_integer_row(row)[0] for row in rows]
     if not m:
         if ncols is None:
             raise ValueError("ncols required for an empty row set")
@@ -60,9 +69,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None) -> tuple[list[list[i
         for i in range(len(m)):
             f = m[i][c]
             if i != r and f != 0:
-                row = [pv * a - f * b for a, b in zip(m[i], top)]
-                g = math.gcd(*row)
-                m[i] = [v // g for v in row] if g > 1 else row
+                m[i] = _combine(pv, m[i], f, top)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -115,8 +122,17 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> list[Row]:
 
 
 def matvec(rows: Sequence[Sequence], x: Sequence) -> Row:
-    """Exact matrix-vector product."""
-    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    """Exact matrix-vector product.
+
+    ``x`` and each row are scaled to Python ints, so each entry is one
+    integer dot product over the product of the two denominators.
+    """
+    xs, xden = _integer_row(x)
+    out: Row = []
+    for row in rows:
+        ints, den = _integer_row(row)
+        out.append(Fraction(sum(a * b for a, b in zip(ints, xs)), den * xden))
+    return out
 
 
 def strictly_feasible(rows: Sequence[Sequence]) -> Row | None:
@@ -126,74 +142,88 @@ def strictly_feasible(rows: Sequence[Sequence]) -> Row | None:
     variables turn the inequalities into equalities, and artificials give the
     starting basis.  Feasible iff the artificial cost can be driven to zero.
 
+    The tableau is fraction-free.  Each input row is scaled to integers by
+    the lcm of its denominators, the right-hand side 1 with it.  A pivot
+    replaces row i by ``pv * row_i - f * row_leave`` (``pv > 0`` the pivot
+    entry, ``f`` row i's entry in the entering column) and divides it by
+    the gcd of its entries; the reduced-cost row, with the objective in its
+    last slot, is kept the same way.  Every row is thus a positive multiple
+    of the row over the rationals, whose basic entry is 1.  Bland's rule
+    reads only signs, and the ratio test compares ``rhs_i * a_l`` with
+    ``rhs_l * a_i`` (ties to the smaller basic index), so the pivots are
+    those of the simplex over the rationals.
+
     Returns a solution vector ``y`` (Fractions) or ``None``.
 
     Strict systems ``M y > 0`` are homogeneous here, so feasibility of the
     open cone is equivalent to feasibility of ``M y >= 1``: any strictly
     positive image can be scaled up to clear 1.
     """
-    m = to_fraction_matrix(rows)
+    m = [_integer_row(row) for row in rows]
     if not m:
         return []
-    k = len(m[0])
+    k = len(m[0][0])
+    if any(len(row) != k for row, _ in m):
+        raise ValueError("ragged rows")
     r = len(m)
-    one = Fraction(1)
-    zero = Fraction(0)
     # Columns: u (k) | v (k) | surplus (r) | artificial (r) | rhs
     ncols = 2 * k + 2 * r + 1
-    tab: Matrix = []
-    for i, row in enumerate(m):
-        t = [zero] * ncols
-        for j, a in enumerate(row):
-            t[j] = a
-            t[k + j] = -a
-        t[2 * k + i] = -one
-        t[2 * k + r + i] = one
-        t[-1] = one
+    tab: list[list[int]] = []
+    for i, (row, den) in enumerate(m):
+        t = [0] * ncols
+        t[:k] = row
+        t[k : 2 * k] = [-a for a in row]
+        t[2 * k + i] = -den
+        t[2 * k + r + i] = den
+        t[-1] = den
         tab.append(t)
     basis = [2 * k + r + i for i in range(r)]
-    # Reduced costs for minimizing the artificial sum: c_j - z_j.
-    cost = [zero] * (ncols - 1)
+    # Reduced costs for minimizing the artificial sum, c_j - z_j, with
+    # -(artificial sum) in the last slot: the unit costs on the artificials
+    # less every row, each row first brought to the common denominator.
+    lcd = math.lcm(*(den for _, den in m))
+    red = [0] * ncols
     for j in range(2 * k + r, 2 * k + 2 * r):
-        cost[j] = one
-    red = list(cost)
-    obj = zero
-    for i in range(r):  # price out the basic artificials
-        red = [c - t for c, t in zip(red, tab[i][:-1])]
-        obj -= tab[i][-1]
-    # obj tracks -(artificial sum); optimal when no negative reduced cost.
+        red[j] = lcd
+    for t, (_, den) in zip(tab, m):
+        s = lcd // den
+        red = [c - s * a for c, a in zip(red, t)]
+    g = math.gcd(*red)
+    red = [v // g for v in red]
+    # Optimal when no reduced cost is negative.
     while True:
-        enter = next((j for j, c in enumerate(red) if c < 0), None)
+        enter = next((j for j in range(ncols - 1) if red[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(r):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a against rhs_leave / a_leave, both a positive.
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; input inconsistent")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
+        top = tab[leave]
+        pv = top[enter]
         for i in range(r):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        f = red[enter]
-        if f != 0:
-            red = [a - f * b for a, b in zip(red, tab[leave][:-1])]
-            obj -= f * tab[leave][-1]
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = _combine(pv, tab[i], f, top)
+        red = _combine(pv, red, red[enter], top)
         basis[leave] = enter
-    if obj != 0:
+    if red[-1] != 0:
         return None
-    y = [zero] * k
-    for i, b in enumerate(basis):
+    y = [Fraction(0)] * k
+    for t, b in zip(tab, basis):
         if b < k:
-            y[b] += tab[i][-1]
+            y[b] += Fraction(t[-1], t[b])
         elif b < 2 * k:
-            y[b - k] -= tab[i][-1]
+            y[b - k] -= Fraction(t[-1], t[b])
     return y
+

@@ -202,42 +202,58 @@ def _supports(
     prefix always extends (make every later spring nonzero unless its ends
     are already merged), so no branch is a dead end.
     """
-    p = len(ends)
-    support = [False] * p
-    found = []
-
-    def walk(i, group, apart):
-        if i == p:
-            if any(support):
-                found.append((tuple(support), group))
-            return
-        a, b = ends[i]
-        if not apart[a] >> b & 1:
-            merged = group[a] | group[b]
-            far = apart[a] | apart[b]
-            support[i] = False
-            walk(
-                i + 1,
-                tuple(merged if merged >> j & 1 else g for j, g in enumerate(group)),
-                tuple(
-                    far if merged >> j & 1 else (u | merged if u & merged else u)
-                    for j, u in enumerate(apart)
-                ),
-            )
-        if not group[a] >> b & 1:
-            ga, gb = group[a], group[b]
-            support[i] = True
-            walk(
-                i + 1,
-                group,
-                tuple(
-                    u | gb if ga >> j & 1 else (u | ga if gb >> j & 1 else u)
-                    for j, u in enumerate(apart)
-                ),
-            )
-
-    walk(0, tuple(1 << i for i in range(count)), (0,) * count)
+    found: list[tuple[tuple[bool, ...], tuple[int, ...]]] = []
+    start = tuple(1 << i for i in range(count))
+    _walk_supports(ends, [False] * len(ends), found, 0, start, (0,) * count)
     return found
+
+
+def _walk_supports(
+    ends: Sequence[tuple[int, int]],
+    support: list[bool],
+    found: list,
+    i: int,
+    group: tuple[int, ...],
+    apart: tuple[int, ...],
+) -> None:
+    """``_supports``' depth-first step at spring i.  A module-level
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep ``found`` alive until the cyclic collector
+    runs."""
+    if i == len(ends):
+        if any(support):
+            found.append((tuple(support), group))
+        return
+    a, b = ends[i]
+    if not apart[a] >> b & 1:
+        merged = group[a] | group[b]
+        far = apart[a] | apart[b]
+        support[i] = False
+        _walk_supports(
+            ends,
+            support,
+            found,
+            i + 1,
+            tuple(merged if merged >> j & 1 else g for j, g in enumerate(group)),
+            tuple(
+                far if merged >> j & 1 else (u | merged if u & merged else u)
+                for j, u in enumerate(apart)
+            ),
+        )
+    if not group[a] >> b & 1:
+        ga, gb = group[a], group[b]
+        support[i] = True
+        _walk_supports(
+            ends,
+            support,
+            found,
+            i + 1,
+            group,
+            tuple(
+                u | gb if ga >> j & 1 else (u | ga if gb >> j & 1 else u)
+                for j, u in enumerate(apart)
+            ),
+        )
 
 
 def _forced_zero(
@@ -281,21 +297,29 @@ def _sign_walk(
     realizing it), so no branch is a dead end.
     """
     on = [i for i, s in enumerate(support) if s]
-    sig = [0] * len(support)
+    return _walk_signs(ends, on, [0] * len(support), 0, group, (0,) * len(group))
 
-    def walk(j, group, above):
-        if j == len(on):
-            yield tuple(sig)
-            return
-        i = on[j]
-        a, b = ends[i]
-        for s in (-1, 1) if j else (1,):
-            order = _relate(group, above, a, b, s)
-            if order is not None:
-                sig[i] = s
-                yield from walk(j + 1, *order)
 
-    yield from walk(0, group, (0,) * len(group))
+def _walk_signs(
+    ends: Sequence[tuple[int, int]],
+    on: list[int],
+    sig: list[int],
+    j: int,
+    group: tuple[int, ...],
+    above: tuple[int, ...],
+) -> Iterator[tuple[int, ...]]:
+    """``_sign_walk``'s step at its j-th support spring; module-level for
+    the reason given at ``_walk_supports``."""
+    if j == len(on):
+        yield tuple(sig)
+        return
+    i = on[j]
+    a, b = ends[i]
+    for s in (-1, 1) if j else (1,):
+        order = _relate(group, above, a, b, s)
+        if order is not None:
+            sig[i] = s
+            yield from _walk_signs(ends, on, sig, j + 1, *order)
 
 
 def _admissible_rank(sig: Sequence[int]) -> int:

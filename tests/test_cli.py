@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscsync import fixtures, structural
+from oscsync import cli, fixtures, graphs, structural
 from oscsync.cli import (
     EXIT_BUDGET,
     EXIT_FAILURE,
@@ -23,6 +23,7 @@ from oscsync.fileio import (
     write_document,
     write_witness,
 )
+from oscsync.graphs import Interconnection
 
 
 @pytest.fixture
@@ -98,6 +99,16 @@ class TestAnalyze:
         out, _ = lines_of(capsys)
         assert "SS: no (empty-dissipative)" in out
         assert "SSS: no (not-ss)" in out
+        assert "topology: path" in out
+        assert not any(line.startswith("fast-path") for line in out)
+
+    def test_fast_path_needs_ss(self):
+        # The closed forms answer only for SS input; the SS verdict that
+        # analyze and bench computed once is passed in.
+        ric = graphs.reduce(Interconnection(3, (), ((1, 2), (2, 3))))
+        assert cli._fast_path_verdict(ric, False) == ("path", None)
+        ric = graphs.reduce(fixtures.by_name("covered-path").ic)
+        assert cli._fast_path_verdict(ric, True) == ("path", False)
 
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "s.txt"
@@ -282,3 +293,53 @@ class TestBench:
         assert main(["bench", "--budget", "1"]) == EXIT_BUDGET
         _, err = lines_of(capsys)
         assert "error: undecided-budget" in err
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser once per process; nothing an earlier
+    call parsed may leak into a later one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = cli._build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_built_at_most_once(self, builds, braced, twin, tmp_path, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(write_witness((2, -1, 1)))
+        assert main(["analyze", braced]) == EXIT_OK
+        assert main(["verify", braced, "--witness", str(wpath)]) == EXIT_OK
+        assert main(["analyze", twin]) == EXIT_OK
+        assert main(["analyze", braced, "--budget", "2"]) == EXIT_BUDGET
+        assert len(builds) == 1
+
+    def test_no_state_leaks_between_calls(self, builds, braced, tmp_path, capsys):
+        target = tmp_path / "w.txt"
+        assert main(["analyze", braced, "--witness", str(target)]) == EXIT_OK
+        assert parse_witness(target.read_text()) == (1, -3, -2)
+        target.unlink()
+        assert main(["analyze", braced]) == EXIT_OK
+        assert not target.exists()
+        # An option given once falls back to its default on the next call.
+        assert main(["analyze", braced, "--budget", "2"]) == EXIT_BUDGET
+        assert main(["analyze", braced]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_usage_error_then_next_call_works(self, builds, braced, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: file" in capsys.readouterr().err
+        assert main(["analyze", braced]) == EXIT_OK
+        out, _ = lines_of(capsys)
+        assert "witness x = (1, -3, -2)" in out
+        assert len(builds) == 1

@@ -15,8 +15,10 @@ covectors, the rule against elimination, and the support systems, which
 are solved over the support's columns only, against the full system.
 """
 
+import gc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,8 +291,36 @@ class TestSettlingSupports:
         assert (len(settled), sum(dead for *_, dead in settled)) == (502, 345)
 
 
+def ladder_tree_plus_edges(rng, q, total):
+    """A random spanning tree on 1..q plus random extra edges, ``total``
+    edges in all: the ladder's generator, drawing as the decide
+    benchmark's does."""
+    order = [int(v) for v in rng.permutation(np.arange(1, q + 1))]
+    edges = []
+    for i in range(1, q):
+        parent = order[int(rng.integers(0, i))]
+        edges.append((min(order[i], parent), max(order[i], parent)))
+    present = set(edges)
+    pool = [(k, l) for k in range(1, q + 1) for l in range(k + 1, q + 1) if (k, l) not in present]
+    for j in rng.permutation(len(pool)):
+        if len(edges) >= total:
+            break
+        edges.append(pool[int(j)])
+    return edges
+
+
+def ladder_split_labels(rng, edges, p_d):
+    """Label ``p_d`` random edges as dampers, the rest as springs."""
+    picked = set(int(i) for i in rng.permutation(len(edges))[:p_d])
+    d = tuple(sorted(e for i, e in enumerate(edges) if i in picked))
+    r = tuple(sorted(e for i, e in enumerate(edges) if i not in picked))
+    return d, r
+
+
 class TestLadder:
-    """Answers measured with the covector walk before supports came first."""
+    """Answers measured before supports came first (the alternating
+    cycles) and before the simplex went fraction-free (the sparse p_r = 14
+    instances, built as the ladder's are)."""
 
     @pytest.mark.parametrize(
         "q, witness, refuted",
@@ -304,6 +334,24 @@ class TestLadder:
         verdict = is_sss(fixtures.alternating_cycle(q))
         assert verdict.is_sss == (witness is None)
         assert (verdict.witness and verdict.witness.x) == witness
+        assert verdict.refuted_patterns == refuted
+
+    @pytest.mark.parametrize(
+        "q, p_d, seed, witness, refuted",
+        [
+            (11, 4, 1, (1, 4, -2, 2, -1, -1, 5, 1, -3, -1, -2, -1, 1, -1), 1_983_979),
+            (11, 4, 2, (0, 3, 3, -1, 0, -1, -2, -1, -1, -1, -1, -1, -1, -2), 639_697),
+        ],
+    )
+    def test_sparse_dampers_at_full_budget(self, q, p_d, seed, witness, refuted):
+        # Simplex-bound: with the simplex over Fractions these took 18.5 s
+        # and 37.6 s.
+        rng = np.random.default_rng([seed, q, 14])
+        edges = ladder_tree_plus_edges(rng, q, 14 + p_d)
+        ic = Interconnection(q, *ladder_split_labels(rng, edges, p_d))
+        assert graphs.reduce(ic).p_r == 14
+        verdict = is_sss(ic)
+        assert not verdict.is_sss and verdict.witness.x == witness
         assert verdict.refuted_patterns == refuted
 
 
@@ -330,6 +378,20 @@ class TestWorkDone:
         assert verdict.witness.x == (1, -3, -2)
         assert verdict.refuted_patterns == 4
         assert calls["strictly_feasible"] <= 2
+
+    @pytest.mark.parametrize("name", ["braced-chain", "alternating-cycle-6", "covered-path"])
+    def test_leaves_no_reference_cycles(self, name):
+        # Supports and sign walks are freed by reference counting, not
+        # left to the cyclic collector, whose pauses set peak memory.
+        ic = fixtures.by_name(name).ic
+        gc.collect()
+        gc.disable()
+        try:
+            is_sss(ic)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestEdgeCases:
